@@ -17,13 +17,26 @@ import (
 // streams) may linger after a shutdown signal.
 const shutdownGrace = 5 * time.Second
 
+// Connection timeouts: a client gets readHeaderTimeout to send its request
+// headers and a keep-alive connection closes after idleTimeout without a
+// request. There is deliberately no write timeout, so a long-lived /trace
+// stream is never cut off mid-run.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // serveMain runs the HTTP control plane until SIGINT/SIGTERM, then shuts
 // down gracefully: stop accepting, drain handlers, stop every session
 // goroutine. The "listening" line prints only after the socket is bound, so
 // scripts can treat it as the readiness mark.
 func serveMain(addr, dir string) error {
 	m := serve.NewManager(serve.Config{ScenarioDir: dir})
-	srv := &http.Server{Handler: m.Handler()}
+	srv := &http.Server{
+		Handler:           m.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -318,11 +318,20 @@ func (n *Network) port(from, to string) (*topology.Port, error) {
 // link's guaranteed reservations; the packet currently being serialized
 // finishes at the old rate. Note that per-flow queueing-delay normalization
 // uses the rates seen at flow setup, so delay reports of flows that straddle
-// a rate change are measured against their setup-time fixed delay.
+// a rate change are measured against their setup-time fixed delay. On a
+// link that crosses shards the new delay may not drop below the partition's
+// lookahead, which fixed the coordinator's window width.
 func (n *Network) SetLink(from, to string, rate, propDelay float64) error {
 	pt, err := n.port(from, to)
 	if err != nil {
 		return err
+	}
+	if propDelay < 0 {
+		return fmt.Errorf("core: link %s->%s propagation delay must be non-negative, got %v", from, to, propDelay)
+	}
+	if propDelay != 0 && pt.Remote() && propDelay < n.Lookahead() {
+		return fmt.Errorf("core: cross-shard link %s->%s propagation delay %vs is below the shard lookahead %vs",
+			from, to, propDelay, n.Lookahead())
 	}
 	if rate != 0 {
 		if rate < 0 {
@@ -340,9 +349,6 @@ func (n *Network) SetLink(from, to string, rate, propDelay float64) error {
 		}
 	}
 	if propDelay != 0 {
-		if propDelay < 0 {
-			return fmt.Errorf("core: link %s->%s propagation delay must be non-negative, got %v", from, to, propDelay)
-		}
 		pt.SetPropDelay(propDelay)
 	}
 	n.invalidateRoutes() // rate and delay feed the delay/load costs

@@ -239,3 +239,34 @@ c -> back
 		}
 	}
 }
+
+// TestShardedLinkDelayBelowLookahead: a timeline event that would lower a
+// cross-shard link's delay below the partition's lookahead is refused with
+// a timeline warning instead of panicking, and the run reaches its horizon
+// with the old delay in force.
+func TestShardedLinkDelayBelowLookahead(t *testing.T) {
+	const src = `
+net :: Net(rate 1Mbps, shards 2)
+run :: Run(horizon 3s)
+a, b :: Switch
+a -> b :: Link(delay 5ms)
+f :: Datagram(path a -> b)
+c :: CBR(rate 100pps, size 1000bit)
+c -> f
+at 1s { a -> b :: Link(delay 1ms) }
+`
+	s := mustCompile(t, src, Options{})
+	r := s.Run()
+	if got := s.Net.Topology().Node("a").Port("b").PropDelay(); got != 0.005 {
+		t.Errorf("a->b delay = %v after the refused event, want 0.005", got)
+	}
+	if len(r.Warnings) != 1 || !strings.Contains(r.Warnings[0], "below the shard lookahead") {
+		t.Fatalf("warnings = %q, want one lookahead refusal", r.Warnings)
+	}
+	if got := strings.Count(r.Format(), "timeline warnings:"); got != 1 {
+		t.Errorf("report has %d timeline warnings sections, want 1", got)
+	}
+	if got := r.Flows[0].Delivered; got != 300 {
+		t.Errorf("delivered %d packets, want 300 (100 pps to the 3 s horizon)", got)
+	}
+}

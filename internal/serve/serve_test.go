@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -419,6 +420,37 @@ func TestSteppedFreeRunMatchesBatch(t *testing.T) {
 	_, served := text(t, ts.URL+"/sessions/"+id+"/report")
 	if served != batch {
 		t.Errorf("stepped served report differs from batch: %s", firstDiff(batch, served))
+	}
+}
+
+// TestShardedDelayInjectionRefused injects a link event that would lower a
+// cross-shard delay below the partition's lookahead into a live 2-shard
+// session: the session runs to done with a timeline warning, and the server
+// (with every other session) survives.
+func TestShardedDelayInjectionRefused(t *testing.T) {
+	const src = `net :: Net(rate 1Mbps)
+run :: Run(seed 3, horizon 3s)
+a, b :: Switch
+a -> b :: Link(delay 5ms)
+d :: Datagram(path a -> b)
+c :: CBR(rate 50pps, size 1000bit)
+c -> d
+`
+	ts, _ := newTestServer(t)
+	var st statusBody
+	if code := call(t, "POST", ts.URL+"/sessions",
+		createBody{Source: src, Name: "lookahead", Shards: 2, Paused: true}, &st); code != http.StatusCreated {
+		t.Fatalf("create: %d", code)
+	}
+	id := st.ID
+	if code := call(t, "POST", ts.URL+"/sessions/"+id+"/events", "at 1s { a -> b :: Link(delay 1ms) }", nil); code != http.StatusOK {
+		t.Fatalf("inject: %d", code)
+	}
+	call(t, "POST", ts.URL+"/sessions/"+id, map[string]string{"action": "resume"}, nil)
+	waitSimTime(t, ts.URL, id, math.Inf(1)) // returns once the session is done
+	_, report := text(t, ts.URL+"/sessions/"+id+"/report")
+	if !strings.Contains(report, "timeline warnings:") || !strings.Contains(report, "below the shard lookahead") {
+		t.Errorf("report lacks the lookahead warning:\n%s", report)
 	}
 }
 
